@@ -1,7 +1,8 @@
 // Component microbenchmarks (google-benchmark): the §IV-B building
-// blocks — bitonic vs radix sorting around the 512-entry crossover,
-// visited-set probing, distance kernels fp32 vs fp16, and NN-descent vs
-// exact kNN-graph construction.
+// blocks — the host sort behind the bitonic and radix paths (both sort
+// with std::sort by (distance, id); they differ only in the GPU cost
+// they return), visited-set probing, distance kernels fp32 vs fp16, and
+// NN-descent vs exact kNN-graph construction.
 #include <benchmark/benchmark.h>
 
 #include "dataset/profile.h"

@@ -69,7 +69,9 @@ struct SearchParams {
   size_t max_iterations = 0;     ///< 0 = auto (scaled from itopk)
   size_t min_iterations = 0;
   SearchAlgo algo = SearchAlgo::kAuto;
-  size_t cta_per_query = 0;      ///< multi-CTA width; 0 = auto
+  /// Multi-CTA width; 0 = auto: clamp(ceil(itopk / 32), 2, 64), the
+  /// fewest 32-entry CTA lists that cover the internal top-M.
+  size_t cta_per_query = 0;
   HashMode hash_mode = HashMode::kAuto;
   size_t hash_reset_interval = 1;  ///< forgettable wipe period (iterations)
   size_t hash_bits = 0;          ///< log2 table entries; 0 = auto (8..13)

@@ -44,19 +44,16 @@ std::vector<std::unique_ptr<SearchScratch>>& ScratchCache(size_t slots) {
   return cache;
 }
 
-size_t ResolveCtaPerQuery(const SearchParams& params, const DeviceSpec& dev,
-                          size_t batch, size_t itopk) {
+size_t ResolveCtaPerQuery(const SearchParams& params, size_t itopk) {
   if (params.cta_per_query != 0) return params.cta_per_query;
-  // Enough CTAs to cover the requested breadth (each holds a 32-entry
-  // local list) and to saturate the device at small batch sizes. An
-  // empty batch launches nothing; resolve it like batch 1 so the
-  // division below cannot fault.
-  if (batch == 0) batch = 1;
-  size_t by_breadth = (itopk + kMultiCtaLocalTopM - 1) / kMultiCtaLocalTopM;
-  size_t by_fill = batch < dev.sm_count
-                       ? (2 * dev.sm_count + batch - 1) / batch
-                       : 1;
-  return std::clamp<size_t>(std::max(by_breadth, by_fill), 2, 64);
+  // Just enough CTAs to cover the requested breadth: each holds a
+  // 32-entry local list. Widening further to fill an idle device buys
+  // nothing on the host, which runs a query's CTAs one after another —
+  // every extra CTA only scores more rows — and the cost model prices
+  // the wider batch-1 launch slower too.
+  const size_t by_breadth =
+      (itopk + kMultiCtaLocalTopM - 1) / kMultiCtaLocalTopM;
+  return std::clamp<size_t>(by_breadth, 2, 64);
 }
 
 }  // namespace
@@ -81,7 +78,7 @@ SearchParams ResolveBatchShape(const SearchParams& params,
     out.algo = ChooseAlgo(batch, itopk, thresholds);
   }
   if (out.algo == SearchAlgo::kMultiCta && out.cta_per_query == 0) {
-    out.cta_per_query = ResolveCtaPerQuery(params, device, batch, itopk);
+    out.cta_per_query = ResolveCtaPerQuery(params, itopk);
   }
   return out;
 }
@@ -169,10 +166,7 @@ Result<SearchResult> Search(const CagraIndex& index,
   const SearchParams shaped = ResolveBatchShape(params, device, batch);
   const SearchAlgo algo = shaped.algo;
 
-  ResolvedConfig cfg = ResolveConfig(params, algo, d, snap->size());
-  cfg.cta_per_query =
-      algo == SearchAlgo::kMultiCta ? shaped.cta_per_query : 1;
-  cfg.cancel = params.cancel;
+  ResolvedConfig cfg = ResolveConfig(shaped, algo, d, snap->size());
 
   // --- Exact-fp32 rerank depth (params.rerank doc). The kernels consume
   // cfg.k only at output emission (see search_single_cta.cc /

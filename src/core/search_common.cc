@@ -38,7 +38,10 @@ ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
   cfg.k = params.k;
   cfg.itopk = ResolveItopk(params);
   cfg.search_width = std::max<size_t>(1, params.search_width);
+  cfg.cta_per_query =
+      algo == SearchAlgo::kMultiCta ? params.cta_per_query : 1;
   cfg.seed = params.seed;
+  cfg.cancel = params.cancel;
 
   // Auto iteration budget: enough to refill the top-M list several times
   // over (each iteration expands `search_width` parents).
@@ -52,12 +55,18 @@ ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
 
   // Hash sizing (§IV-B3): the search touches at most
   // Imax * p * d + initial-sample nodes; a standard table is sized to 2x
-  // that. A shared-memory (forgettable) table is clamped to 2^8..2^13
-  // entries; if the needed size exceeds the clamp we keep the paper's
-  // periodic reset interval.
-  const size_t per_iter =
-      (algo == SearchAlgo::kMultiCta ? 1 : cfg.search_width) * graph_degree;
-  const size_t worst_visits = (cfg.max_iterations + 1) * per_iter;
+  // that. In multi-CTA mode all cta_per_query CTAs (p = 1 each) share
+  // one table, and each also seeds d random samples. A shared-memory
+  // (forgettable) table is clamped to 2^8..2^13 entries; if the needed
+  // size exceeds the clamp we keep the paper's periodic reset interval.
+  size_t worst_visits;
+  if (algo == SearchAlgo::kMultiCta) {
+    const size_t per_iter = cfg.cta_per_query * graph_degree;
+    worst_visits = (cfg.max_iterations + 1) * per_iter + per_iter;
+  } else {
+    worst_visits =
+        (cfg.max_iterations + 1) * cfg.search_width * graph_degree;
+  }
   const size_t wanted = 2 * worst_visits;
   size_t bits = params.hash_bits;
   const bool forgettable =
@@ -88,6 +97,7 @@ ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
 
 void SortAndMerge(std::vector<KeyValue>* topm,
                   std::vector<KeyValue>* candidates,
+                  std::vector<KeyValue>* merge_buffer,
                   KernelCounters* counters) {
   // §IV-B2: warp-level bitonic sort in registers for small candidate
   // lists, CTA-level radix sort in shared memory above 512 entries.
@@ -97,7 +107,7 @@ void SortAndMerge(std::vector<KeyValue>* topm,
     counters->radix_scatters += RadixSorter::Sort(candidates);
   }
   counters->sort_exchanges +=
-      BitonicSorter::MergeKeepSmallest(topm, *candidates);
+      BitonicSorter::MergeKeepSmallest(topm, *candidates, merge_buffer);
 }
 
 }  // namespace internal_search

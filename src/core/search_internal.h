@@ -197,6 +197,10 @@ struct SearchScratch {
   std::vector<KeyValue> init;
   std::vector<uint32_t> parents;
 
+  /// SortAndMerge's output buffer, swapped with the top-M list it
+  /// updates, so the per-iteration merge reuses storage in both modes.
+  std::vector<KeyValue> merge_buffer;
+
   // Batched-distance staging: fresh node ids and their target slots.
   std::vector<uint32_t> batch_ids;
   std::vector<uint32_t> batch_slots;
@@ -233,9 +237,12 @@ inline size_t ResolveItopk(const SearchParams& params) {
                            : std::max<size_t>(64, params.k);
 }
 
-/// Resolves SearchParams defaults against an index + batch size: auto
+/// Resolves SearchParams defaults against an index: auto
 /// max_iterations, hash sizing (§IV-B3: >= 2x expected visits, shared
 /// tables clamped to 2^8..2^13 with resets), Table II hash placement.
+/// For kMultiCta, `params` must be batch-shaped (ResolveBatchShape) so
+/// cta_per_query holds the resolved width the visited table is sized
+/// for.
 ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
                              size_t graph_degree, size_t dataset_size);
 
@@ -266,10 +273,12 @@ size_t SearchMultiCta(const DatasetView& dataset,
                       bool* truncated = nullptr);
 
 /// Sorts the candidate segment and merges it into the sorted top-M
-/// segment, charging bitonic or radix cost per the §IV-B2 rule
-/// (bitonic for <= 512 candidates, radix above).
+/// segment (both by KeyValueLess), charging bitonic or radix cost per
+/// the §IV-B2 rule (bitonic for <= 512 candidates, radix above).
+/// `merge_buffer` is reusable workspace (SearchScratch::merge_buffer).
 void SortAndMerge(std::vector<KeyValue>* topm,
                   std::vector<KeyValue>* candidates,
+                  std::vector<KeyValue>* merge_buffer,
                   KernelCounters* counters);
 
 }  // namespace internal_search

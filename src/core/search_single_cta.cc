@@ -99,7 +99,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
   CancelCheck cancel(cfg.cancel, /*stride=*/4);
   while (true) {
     // --- Step 1: update internal top-M from the whole buffer.
-    SortAndMerge(&topm, &candidates, counters);
+    SortAndMerge(&topm, &candidates, &scratch->merge_buffer, counters);
     iterations++;
 
     if (iterations >= cfg.max_iterations) break;

